@@ -362,6 +362,32 @@ fn main() {
         rows.push(Throughput { measurement: m, accesses: TENANT_ACCESSES as u64 });
     }
 
+    // The offline DQN loop (Fig. 2): one single-sample SGD update of the
+    // small-scale 334 -> 64 -> 16 agent network, and one full training
+    // epoch (ε-greedy decisions, Belady rewards, replay updates) over a
+    // prefix of the 429.mcf capture on a 64 KB LLC, where every miss is a
+    // decision. Throughput counts updates and trace records respectively.
+    const TRAIN_STEPS: u64 = 64;
+    let mut net = rl::Mlp::new(334, 64, 16, 7);
+    let state: Vec<f32> = (0..334).map(|i| (i % 7) as f32 / 7.0).collect();
+    let step = harness::bench("rl/train_step_334_64_16", || {
+        let mut loss = 0.0f32;
+        for k in 0..TRAIN_STEPS as usize {
+            loss += net.train_action(black_box(&state), k % 16, 0.5, 5e-3, 0.9);
+        }
+        black_box(loss)
+    });
+    rows.push(Throughput { measurement: step, accesses: TRAIN_STEPS });
+    let mut rl_trace = trace.clone();
+    rl_trace.truncate(4_000);
+    let rl_llc = cache_sim::CacheConfig { sets: 64, ways: 16, latency: 26 };
+    let rl_config = rl::AgentConfig { hidden: 64, ..rl::AgentConfig::default() };
+    let epoch = harness::bench("rl/train_epoch", || {
+        let mut trainer = rl::Trainer::new(rl_config, &rl_llc);
+        black_box(trainer.train_epoch(&rl_trace, &rl_llc).stats.decisions)
+    });
+    rows.push(Throughput { measurement: epoch, accesses: rl_trace.len() as u64 });
+
     harness::write_throughput_json("hotpath", &rows);
 }
 

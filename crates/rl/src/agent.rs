@@ -165,12 +165,7 @@ impl Agent {
 
     /// One DQN update on a single transition (shared with the multi-agent
     /// trainer).
-    pub(crate) fn learn_public(&mut self, t: &Transition) -> f32 {
-        self.learn(t)
-    }
-
-    /// One DQN update on a single transition.
-    fn learn(&mut self, t: &Transition) -> f32 {
+    pub(crate) fn learn(&mut self, t: &Transition) -> f32 {
         if let Some(target) = &mut self.target_net {
             self.updates_since_sync += 1;
             if self.updates_since_sync >= self.config.target_sync {
@@ -308,12 +303,8 @@ impl Trainer {
                 decision_count += 1;
                 if decision_count.is_multiple_of(train_every) && !self.replay.is_empty() {
                     for _ in 0..batch {
-                        let t = self
-                            .replay
-                            .sample(&mut self.rng)
-                            .expect("buffer checked non-empty")
-                            .clone();
-                        losses += f64::from(self.agent.learn(&t));
+                        let t = self.replay.sample(&mut self.rng).expect("buffer checked non-empty");
+                        losses += f64::from(self.agent.learn(t));
                         updates += 1;
                     }
                 }
@@ -426,11 +417,24 @@ impl Trainer {
         let replay = ReplayBuffer::load(&mut r)?;
 
         let encoder = StateEncoder::new(config.features, cache.ways as usize, cache.sets);
-        if net.inputs() != encoder.dims() || net.outputs() != cache.ways as usize {
+        let shape = |n: &Mlp| (n.inputs(), n.outputs());
+        if shape(&net) != (encoder.dims(), cache.ways as usize)
+            || target_net.as_ref().is_some_and(|t| shape(t) != shape(&net))
+        {
             return Err(wire::bad_data("checkpoint network does not match the cache geometry"));
         }
         if config.replay_capacity == 0 || replay.len() > config.replay_capacity {
             return Err(wire::bad_data("checkpoint replay buffer exceeds its capacity"));
+        }
+        // Every stored transition must fit the network, or the first
+        // update that samples it would panic.
+        let dims = encoder.dims();
+        if replay.transitions().iter().any(|t| {
+            t.state.len() != dims
+                || !(t.next_state.is_empty() || t.next_state.len() == dims)
+                || usize::from(t.action) >= net.outputs()
+        }) {
+            return Err(wire::bad_data("checkpoint replay transition does not match the network"));
         }
         let agent = Agent {
             net,
@@ -549,6 +553,42 @@ mod tests {
             trained.hits,
             random.hits
         );
+    }
+
+    #[test]
+    fn checkpoints_with_misshapen_replay_or_target_are_rejected() {
+        let cache = small_cache();
+        let mut trainer = Trainer::new(AgentConfig::small(FeatureSet::full(), 3), &cache);
+        let _ = trainer.train_epoch(&thrash_trace(12, 400), &cache);
+        let dims = trainer.agent.encoder.dims();
+        let good = trainer.replay.transitions()[0].clone();
+        let misshapen = [
+            Transition { state: vec![0.0; dims - 1], ..good.clone() },
+            Transition { next_state: vec![0.0; dims + 1], ..good.clone() },
+            Transition { action: cache.ways, ..good.clone() },
+        ];
+        for (case, bad) in misshapen.into_iter().enumerate() {
+            let mut corrupt = trainer.clone();
+            corrupt.replay.push(bad);
+            let mut bytes = Vec::new();
+            corrupt.save_checkpoint(&mut bytes, 1).expect("in-memory save");
+            let err =
+                Trainer::load_checkpoint(bytes.as_slice(), &cache).expect_err("misshapen replay");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "case {case}");
+        }
+        // So is a target network shaped unlike the live one.
+        let mut corrupt = trainer.clone();
+        corrupt.agent.target_net = Some(Mlp::new(dims, 24, usize::from(cache.ways) + 1, 0));
+        let mut bytes = Vec::new();
+        corrupt.save_checkpoint(&mut bytes, 1).expect("in-memory save");
+        let err = Trainer::load_checkpoint(bytes.as_slice(), &cache).expect_err("misshapen target");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        // Terminal transitions (empty successor) stay loadable.
+        let mut terminal = trainer.clone();
+        terminal.replay.push(Transition { next_state: Vec::new(), ..good });
+        let mut bytes = Vec::new();
+        terminal.save_checkpoint(&mut bytes, 1).expect("in-memory save");
+        assert!(Trainer::load_checkpoint(bytes.as_slice(), &cache).is_ok());
     }
 
     #[test]

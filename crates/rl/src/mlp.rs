@@ -5,9 +5,23 @@
 //! ("simple enough for interpretation but performs almost as well as
 //! denser networks"). Trained with SGD plus momentum.
 
+use std::io::{self, Read, Write};
+
 use simrng::{Rng, SimRng};
 
+use crate::wire;
+
+const MAGIC: &[u8; 4] = b"MLP1";
+const MAGIC_FULL: &[u8; 4] = b"MLPF";
+/// Upper bound on the entries of either serialized weight matrix.
+const MAX_MATRIX: u64 = 1 << 28;
+
 /// A two-layer perceptron: `inputs → hidden (tanh) → outputs (linear)`.
+///
+/// Weight matrices are stored input-major (`w[i * fan_out + j]`: input `i`
+/// → neuron `j`), so the forward pass and the momentum update walk
+/// contiguous rows of independent neurons. The serialized formats and
+/// [`Mlp::first_layer_weights`] keep the neuron-major order.
 ///
 /// ```
 /// use rl::Mlp;
@@ -21,13 +35,13 @@ pub struct Mlp {
     inputs: usize,
     hidden: usize,
     outputs: usize,
-    /// `w1[h * inputs + i]`: input `i` → hidden `h`.
+    /// `w1[i * hidden + h]`: input `i` → hidden `h`.
     w1: Vec<f32>,
     b1: Vec<f32>,
-    /// `w2[o * hidden + h]`: hidden `h` → output `o`.
+    /// `w2[h * outputs + o]`: hidden `h` → output `o`.
     w2: Vec<f32>,
     b2: Vec<f32>,
-    // Momentum buffers.
+    // Momentum buffers, laid out like the parameters they track.
     m_w1: Vec<f32>,
     m_b1: Vec<f32>,
     m_w2: Vec<f32>,
@@ -48,20 +62,45 @@ impl Mlp {
         let mut rng = SimRng::seed_from_u64(seed);
         let s1 = (6.0 / (inputs + hidden) as f32).sqrt();
         let s2 = (6.0 / (hidden + outputs) as f32).sqrt();
-        let w1 = (0..inputs * hidden).map(|_| rng.gen_range(-s1..s1)).collect();
-        let w2 = (0..hidden * outputs).map(|_| rng.gen_range(-s2..s2)).collect();
+        // Drawn neuron-major, the order the seeded initialization has
+        // always used, then stored input-major.
+        let w1: Vec<f32> = (0..inputs * hidden).map(|_| rng.gen_range(-s1..s1)).collect();
+        let w2: Vec<f32> = (0..hidden * outputs).map(|_| rng.gen_range(-s2..s2)).collect();
+        Self::from_params(
+            [inputs, hidden, outputs],
+            [
+                transpose(&w1, hidden, inputs),
+                vec![0.0; hidden],
+                transpose(&w2, outputs, hidden),
+                vec![0.0; outputs],
+            ],
+            None,
+        )
+    }
+
+    /// Assembles a network from input-major parameters `[w1, b1, w2, b2]`
+    /// and optional momentum buffers in the same layout (zero if absent).
+    fn from_params(
+        [inputs, hidden, outputs]: [usize; 3],
+        [w1, b1, w2, b2]: [Vec<f32>; 4],
+        momentum: Option<[Vec<f32>; 4]>,
+    ) -> Self {
+        let [m_w1, m_b1, m_w2, m_b2] = momentum.unwrap_or_else(|| {
+            let zeros = |n| vec![0.0; n];
+            [zeros(inputs * hidden), zeros(hidden), zeros(hidden * outputs), zeros(outputs)]
+        });
         Self {
             inputs,
             hidden,
             outputs,
             w1,
-            b1: vec![0.0; hidden],
+            b1,
             w2,
-            b2: vec![0.0; outputs],
-            m_w1: vec![0.0; inputs * hidden],
-            m_b1: vec![0.0; hidden],
-            m_w2: vec![0.0; hidden * outputs],
-            m_b2: vec![0.0; outputs],
+            b2,
+            m_w1,
+            m_b1,
+            m_w2,
+            m_b2,
             last_input: vec![0.0; inputs],
             last_hidden: vec![0.0; hidden],
         }
@@ -82,10 +121,11 @@ impl Mlp {
         self.outputs
     }
 
-    /// First-layer weights, laid out `[hidden][inputs]` row-major — the
-    /// matrix the Fig. 3 heat map aggregates.
-    pub fn first_layer_weights(&self) -> &[f32] {
-        &self.w1
+    /// First-layer weights, laid out `[hidden][inputs]` row-major
+    /// (`[h * inputs + i]`: input `i` → hidden `h`) — the matrix the
+    /// Fig. 3 heat map aggregates.
+    pub fn first_layer_weights(&self) -> Vec<f32> {
+        transpose(&self.w1, self.inputs, self.hidden)
     }
 
     /// Runs a forward pass, caching activations for a subsequent
@@ -95,46 +135,29 @@ impl Mlp {
     ///
     /// Panics if `input.len()` differs from the input dimension.
     pub fn forward(&mut self, input: &[f32]) -> Vec<f32> {
-        assert_eq!(input.len(), self.inputs, "input dimension mismatch");
+        let mut hidden = std::mem::take(&mut self.last_hidden);
+        let out = self.evaluate(input, &mut hidden);
+        self.last_hidden = hidden;
         self.last_input.copy_from_slice(input);
-        for h in 0..self.hidden {
-            let row = &self.w1[h * self.inputs..(h + 1) * self.inputs];
-            let mut acc = self.b1[h];
-            for (w, x) in row.iter().zip(input) {
-                acc += w * x;
-            }
-            self.last_hidden[h] = acc.tanh();
-        }
-        let mut out = vec![0.0; self.outputs];
-        for o in 0..self.outputs {
-            let row = &self.w2[o * self.hidden..(o + 1) * self.hidden];
-            let mut acc = self.b2[o];
-            for (w, x) in row.iter().zip(&self.last_hidden) {
-                acc += w * x;
-            }
-            out[o] = acc;
-        }
         out
     }
 
     /// Inference without touching the backprop scratch state.
     pub fn predict(&self, input: &[f32]) -> Vec<f32> {
+        self.evaluate(input, &mut vec![0.0; self.hidden])
+    }
+
+    /// The forward kernel shared by [`Mlp::forward`] and [`Mlp::predict`]:
+    /// fills `hidden` with the tanh activations and returns the outputs.
+    fn evaluate(&self, input: &[f32], hidden: &mut [f32]) -> Vec<f32> {
         assert_eq!(input.len(), self.inputs, "input dimension mismatch");
-        let mut hidden = vec![0.0f32; self.hidden];
-        for h in 0..self.hidden {
-            let row = &self.w1[h * self.inputs..(h + 1) * self.inputs];
-            let mut acc = self.b1[h];
-            for (w, x) in row.iter().zip(input) {
-                acc += w * x;
-            }
-            hidden[h] = acc.tanh();
+        affine(&self.w1, &self.b1, input, hidden);
+        for a in hidden.iter_mut() {
+            *a = a.tanh();
         }
-        (0..self.outputs)
-            .map(|o| {
-                let row = &self.w2[o * self.hidden..(o + 1) * self.hidden];
-                row.iter().zip(&hidden).fold(self.b2[o], |acc, (w, x)| acc + w * x)
-            })
-            .collect()
+        let mut out = vec![0.0; self.outputs];
+        affine(&self.w2, &self.b2, hidden, &mut out);
+        out
     }
 
     /// Backpropagates `d_out` (∂loss/∂output) from the activations cached
@@ -145,47 +168,25 @@ impl Mlp {
     /// Panics if `d_out.len()` differs from the output dimension.
     pub fn backward(&mut self, d_out: &[f32], learning_rate: f32, momentum: f32) {
         assert_eq!(d_out.len(), self.outputs, "gradient dimension mismatch");
-        // Hidden-layer error: δh = (Σo w2[o,h]·δo) · (1 − tanh²).
-        let mut d_hidden = vec![0.0f32; self.hidden];
-        for o in 0..self.outputs {
-            let row = &self.w2[o * self.hidden..(o + 1) * self.hidden];
-            for (h, w) in row.iter().enumerate() {
-                d_hidden[h] += w * d_out[o];
-            }
-        }
-        for h in 0..self.hidden {
-            let a = self.last_hidden[h];
-            d_hidden[h] *= 1.0 - a * a;
-        }
+        // Hidden-layer error: δh = (Σo w2[h,o]·δo) · (1 − tanh²).
+        let d_hidden: Vec<f32> = self
+            .w2
+            .chunks_exact(self.outputs)
+            .zip(&self.last_hidden)
+            .map(|(row, &a)| {
+                let sum = row.iter().zip(d_out).fold(0.0f32, |acc, (w, d)| acc + w * d);
+                sum * (1.0 - a * a)
+            })
+            .collect();
 
-        // Output layer update.
-        for o in 0..self.outputs {
-            let g_b = d_out[o];
-            let m = &mut self.m_b2[o];
-            *m = momentum * *m - learning_rate * g_b;
-            self.b2[o] += *m;
-            for h in 0..self.hidden {
-                let g = d_out[o] * self.last_hidden[h];
-                let idx = o * self.hidden + h;
-                let m = &mut self.m_w2[idx];
-                *m = momentum * *m - learning_rate * g;
-                self.w2[idx] += *m;
-            }
-        }
-        // Hidden layer update.
-        for h in 0..self.hidden {
-            let g_b = d_hidden[h];
-            let m = &mut self.m_b1[h];
-            *m = momentum * *m - learning_rate * g_b;
-            self.b1[h] += *m;
-            for i in 0..self.inputs {
-                let g = d_hidden[h] * self.last_input[i];
-                let idx = h * self.inputs + i;
-                let m = &mut self.m_w1[idx];
-                *m = momentum * *m - learning_rate * g;
-                self.w1[idx] += *m;
-            }
-        }
+        // A bias is a weight on a constant 1.0 input.
+        let step = |w: &mut [f32], m: &mut [f32], x: &[f32], delta: &[f32]| {
+            momentum_step(w, m, x, delta, learning_rate, momentum);
+        };
+        step(&mut self.b2, &mut self.m_b2, &[1.0], d_out);
+        step(&mut self.w2, &mut self.m_w2, &self.last_hidden, d_out);
+        step(&mut self.b1, &mut self.m_b1, &[1.0], &d_hidden);
+        step(&mut self.w1, &mut self.m_w1, &self.last_input, &d_hidden);
     }
 
     /// Serializes the network (dimensions and weights; optimizer state is
@@ -194,17 +195,9 @@ impl Mlp {
     /// # Errors
     ///
     /// Returns any I/O error from the writer.
-    pub fn save<W: std::io::Write>(&self, mut w: W) -> std::io::Result<()> {
-        w.write_all(b"MLP1")?;
-        for dim in [self.inputs as u64, self.hidden as u64, self.outputs as u64] {
-            w.write_all(&dim.to_le_bytes())?;
-        }
-        for buf in [&self.w1, &self.b1, &self.w2, &self.b2] {
-            for v in buf.iter() {
-                w.write_all(&v.to_le_bytes())?;
-            }
-        }
-        Ok(())
+    pub fn save<W: Write>(&self, mut w: W) -> io::Result<()> {
+        self.write_header(&mut w, MAGIC)?;
+        self.write_params(&mut w, [&self.w1, &self.b1, &self.w2, &self.b2])
     }
 
     /// Deserializes a network written by [`Mlp::save`].
@@ -212,42 +205,10 @@ impl Mlp {
     /// # Errors
     ///
     /// Returns an error on I/O failure or malformed input.
-    pub fn load<R: std::io::Read>(mut r: R) -> std::io::Result<Self> {
-        use std::io::{Error, ErrorKind};
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != b"MLP1" {
-            return Err(Error::new(ErrorKind::InvalidData, "bad MLP magic"));
-        }
-        let mut dims = [0u64; 3];
-        for d in &mut dims {
-            let mut b = [0u8; 8];
-            r.read_exact(&mut b)?;
-            *d = u64::from_le_bytes(b);
-        }
-        let (inputs, hidden, outputs) = (dims[0] as usize, dims[1] as usize, dims[2] as usize);
-        if inputs == 0 || hidden == 0 || outputs == 0 || inputs * hidden > (1 << 28) {
-            return Err(Error::new(ErrorKind::InvalidData, "implausible MLP dimensions"));
-        }
-        let mut read_f32s = |n: usize| -> std::io::Result<Vec<f32>> {
-            let mut out = Vec::with_capacity(n);
-            let mut b = [0u8; 4];
-            for _ in 0..n {
-                r.read_exact(&mut b)?;
-                out.push(f32::from_le_bytes(b));
-            }
-            Ok(out)
-        };
-        let w1 = read_f32s(inputs * hidden)?;
-        let b1 = read_f32s(hidden)?;
-        let w2 = read_f32s(hidden * outputs)?;
-        let b2 = read_f32s(outputs)?;
-        let mut net = Mlp::new(inputs, hidden, outputs, 0);
-        net.w1 = w1;
-        net.b1 = b1;
-        net.w2 = w2;
-        net.b2 = b2;
-        Ok(net)
+    pub fn load<R: Read>(mut r: R) -> io::Result<Self> {
+        let dims = read_header(&mut r, MAGIC)?;
+        let params = read_params(&mut r, dims)?;
+        Ok(Self::from_params(dims, params, None))
     }
 
     /// Serializes the network *including* the SGD momentum buffers, so a
@@ -259,17 +220,10 @@ impl Mlp {
     /// # Errors
     ///
     /// Returns any I/O error from the writer.
-    pub fn save_full<W: std::io::Write>(&self, mut w: W) -> std::io::Result<()> {
-        w.write_all(b"MLPF")?;
-        for dim in [self.inputs as u64, self.hidden as u64, self.outputs as u64] {
-            w.write_all(&dim.to_le_bytes())?;
-        }
-        for buf in [&self.w1, &self.b1, &self.w2, &self.b2, &self.m_w1, &self.m_b1, &self.m_w2, &self.m_b2] {
-            for v in buf.iter() {
-                w.write_all(&v.to_le_bytes())?;
-            }
-        }
-        Ok(())
+    pub fn save_full<W: Write>(&self, mut w: W) -> io::Result<()> {
+        self.write_header(&mut w, MAGIC_FULL)?;
+        self.write_params(&mut w, [&self.w1, &self.b1, &self.w2, &self.b2])?;
+        self.write_params(&mut w, [&self.m_w1, &self.m_b1, &self.m_w2, &self.m_b2])
     }
 
     /// Deserializes a network written by [`Mlp::save_full`].
@@ -277,42 +231,32 @@ impl Mlp {
     /// # Errors
     ///
     /// Returns an error on I/O failure or malformed input.
-    pub fn load_full<R: std::io::Read>(mut r: R) -> std::io::Result<Self> {
-        use std::io::{Error, ErrorKind};
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != b"MLPF" {
-            return Err(Error::new(ErrorKind::InvalidData, "bad full-MLP magic"));
+    pub fn load_full<R: Read>(mut r: R) -> io::Result<Self> {
+        let dims = read_header(&mut r, MAGIC_FULL)?;
+        let params = read_params(&mut r, dims)?;
+        let momentum = read_params(&mut r, dims)?;
+        Ok(Self::from_params(dims, params, Some(momentum)))
+    }
+
+    fn write_header<W: Write>(&self, w: &mut W, magic: &[u8; 4]) -> io::Result<()> {
+        w.write_all(magic)?;
+        for dim in [self.inputs, self.hidden, self.outputs] {
+            wire::write_u64(w, dim as u64)?;
         }
-        let mut dims = [0u64; 3];
-        for d in &mut dims {
-            let mut b = [0u8; 8];
-            r.read_exact(&mut b)?;
-            *d = u64::from_le_bytes(b);
-        }
-        let (inputs, hidden, outputs) = (dims[0] as usize, dims[1] as usize, dims[2] as usize);
-        if inputs == 0 || hidden == 0 || outputs == 0 || inputs * hidden > (1 << 28) {
-            return Err(Error::new(ErrorKind::InvalidData, "implausible MLP dimensions"));
-        }
-        let mut read_f32s = |n: usize| -> std::io::Result<Vec<f32>> {
-            let mut out = Vec::with_capacity(n);
-            let mut b = [0u8; 4];
-            for _ in 0..n {
-                r.read_exact(&mut b)?;
-                out.push(f32::from_le_bytes(b));
+        Ok(())
+    }
+
+    /// Writes `[w1, b1, w2, b2]` (or their momentum buffers) with the
+    /// matrices neuron-major, the on-disk order.
+    fn write_params<W: Write>(&self, w: &mut W, [w1, b1, w2, b2]: [&[f32]; 4]) -> io::Result<()> {
+        let w1 = transpose(w1, self.inputs, self.hidden);
+        let w2 = transpose(w2, self.hidden, self.outputs);
+        for buf in [w1.as_slice(), b1, w2.as_slice(), b2] {
+            for &v in buf {
+                wire::write_f32(w, v)?;
             }
-            Ok(out)
-        };
-        let mut net = Mlp::new(inputs, hidden, outputs, 0);
-        net.w1 = read_f32s(inputs * hidden)?;
-        net.b1 = read_f32s(hidden)?;
-        net.w2 = read_f32s(hidden * outputs)?;
-        net.b2 = read_f32s(outputs)?;
-        net.m_w1 = read_f32s(inputs * hidden)?;
-        net.m_b1 = read_f32s(hidden)?;
-        net.m_w2 = read_f32s(hidden * outputs)?;
-        net.m_b2 = read_f32s(outputs)?;
-        Ok(net)
+        }
+        Ok(())
     }
 
     /// Mean-squared-error convenience: forward on `input`, backward against
@@ -335,6 +279,75 @@ impl Mlp {
         self.backward(&d_out, learning_rate, momentum);
         err * err
     }
+}
+
+/// `out = bias + xᵀ·w` for an input-major `w` (`w[i * out.len() + j]`).
+///
+/// Every output accumulates `w·x` terms in input order, exactly like a
+/// per-neuron dot product, so results are bit-identical to one; the inner
+/// loop runs across independent outputs, which the compiler vectorises
+/// without reassociating any sum.
+fn affine(w: &[f32], bias: &[f32], x: &[f32], out: &mut [f32]) {
+    out.copy_from_slice(bias);
+    for (row, &xi) in w.chunks_exact(out.len()).zip(x) {
+        for (acc, &wij) in out.iter_mut().zip(row) {
+            *acc += wij * xi;
+        }
+    }
+}
+
+/// One SGD-with-momentum step on an input-major matrix whose entry
+/// `w[i * delta.len() + j]` has gradient `delta[j] · x[i]`.
+fn momentum_step(
+    w: &mut [f32],
+    m: &mut [f32],
+    x: &[f32],
+    delta: &[f32],
+    learning_rate: f32,
+    momentum: f32,
+) {
+    let n = delta.len();
+    for ((w_row, m_row), &xi) in w.chunks_exact_mut(n).zip(m.chunks_exact_mut(n)).zip(x) {
+        for ((w, m), &d) in w_row.iter_mut().zip(m_row.iter_mut()).zip(delta) {
+            *m = momentum * *m - learning_rate * (d * xi);
+            *w += *m;
+        }
+    }
+}
+
+/// Transposes a row-major `rows × cols` matrix.
+fn transpose(m: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    debug_assert_eq!(m.len(), rows * cols);
+    (0..cols).flat_map(|c| (0..rows).map(move |r| m[r * cols + c])).collect()
+}
+
+/// Reads a serialized network's magic and `[inputs, hidden, outputs]`,
+/// rejecting dimensions whose weight matrices would be implausibly large.
+fn read_header<R: Read>(r: &mut R, magic: &[u8; 4]) -> io::Result<[usize; 3]> {
+    let mut got = [0u8; 4];
+    r.read_exact(&mut got)?;
+    if &got != magic {
+        return Err(wire::bad_data(&format!("bad {} magic", String::from_utf8_lossy(magic))));
+    }
+    let dims = [wire::read_u64(r)?, wire::read_u64(r)?, wire::read_u64(r)?];
+    let plausible = |a: u64, b: u64| a.checked_mul(b).is_some_and(|n| n <= MAX_MATRIX);
+    if dims.contains(&0) || !plausible(dims[0], dims[1]) || !plausible(dims[1], dims[2]) {
+        return Err(wire::bad_data("implausible MLP dimensions"));
+    }
+    Ok(dims.map(|d| d as usize))
+}
+
+/// Reads `[w1, b1, w2, b2]` (or their momentum buffers) stored with the
+/// matrices neuron-major and returns them input-major.
+fn read_params<R: Read>(
+    r: &mut R,
+    [inputs, hidden, outputs]: [usize; 3],
+) -> io::Result<[Vec<f32>; 4]> {
+    let w1 = wire::read_f32s_exact(r, hidden * inputs)?;
+    let b1 = wire::read_f32s_exact(r, hidden)?;
+    let w2 = wire::read_f32s_exact(r, outputs * hidden)?;
+    let b2 = wire::read_f32s_exact(r, outputs)?;
+    Ok([transpose(&w1, hidden, inputs), b1, transpose(&w2, outputs, hidden), b2])
 }
 
 #[cfg(test)]
@@ -446,6 +459,36 @@ mod tests {
     fn load_rejects_garbage() {
         assert!(Mlp::load(&b"NOT A NET"[..]).is_err());
         assert!(Mlp::load_full(&b"NOT A NET"[..]).is_err());
+    }
+
+    #[test]
+    fn load_rejects_oversized_dimensions_without_allocating() {
+        // A 92-byte file declaring a 2^36-entry second layer.
+        let mut bytes = MAGIC.to_vec();
+        for dim in [1u64, 1, 1 << 36] {
+            bytes.extend_from_slice(&dim.to_le_bytes());
+        }
+        bytes.resize(92, 0);
+        let err = Mlp::load(bytes.as_slice()).expect_err("implausible dimensions");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        bytes[..4].copy_from_slice(MAGIC_FULL);
+        let err = Mlp::load_full(bytes.as_slice()).expect_err("implausible dimensions");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // Dimensions whose product overflows u64 are refused too.
+        let mut bytes = MAGIC.to_vec();
+        for dim in [1u64 << 40, 1 << 40, 1] {
+            bytes.extend_from_slice(&dim.to_le_bytes());
+        }
+        let err = Mlp::load(bytes.as_slice()).expect_err("overflowing dimensions");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // Plausible dimensions on a truncated body fail on the missing
+        // bytes, not on a dimension-sized allocation.
+        let mut bytes = MAGIC.to_vec();
+        for dim in [1u64 << 14, 1 << 14, 1] {
+            bytes.extend_from_slice(&dim.to_le_bytes());
+        }
+        let err = Mlp::load(bytes.as_slice()).expect_err("truncated body");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

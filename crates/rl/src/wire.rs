@@ -48,6 +48,13 @@ pub(crate) fn read_f32s<R: Read>(r: &mut R) -> io::Result<Vec<f32>> {
     if len > (1 << 28) {
         return Err(io::Error::new(io::ErrorKind::InvalidData, "implausible vector length"));
     }
+    read_f32s_exact(r, len)
+}
+
+/// Reads exactly `len` `f32`s. The preallocation is capped, so a length
+/// taken from corrupt input fails on the missing bytes instead of
+/// reserving memory for all of them up front.
+pub(crate) fn read_f32s_exact<R: Read>(r: &mut R, len: usize) -> io::Result<Vec<f32>> {
     let mut out = Vec::with_capacity(len.min(1 << 20));
     for _ in 0..len {
         out.push(read_f32(r)?);
