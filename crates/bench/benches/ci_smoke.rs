@@ -54,10 +54,11 @@ fn baseline_field(text: &str, key: &str) -> Option<f64> {
     tail.trim_start().split(|c: char| c != '.' && !c.is_ascii_digit()).next()?.parse().ok()
 }
 
-/// The in-process victim-scan ratio: scalar reference vs lane backend over
-/// LLC-shaped sets on deterministic warm-cache data. Returns
-/// `scalar_min_ns / lanes_min_ns` — the SIMD-path speedup this machine
-/// sees right now — plus both measurements for the JSON record.
+/// The in-process victim-scan ratio: scalar kernel vs the dispatched one
+/// ([`scan::kernel`] names it) over LLC-shaped sets on deterministic
+/// warm-cache data. Returns `scalar_min_ns / dispatched_min_ns` — the
+/// SIMD-path speedup this machine sees right now — plus both measurements
+/// for the JSON record.
 fn victim_scan_speedup(config: &SystemConfig) -> (f64, [Throughput; 2]) {
     let sets = config.llc.sets as usize;
     let ways = usize::from(config.llc.ways);
@@ -108,7 +109,7 @@ fn victim_scan_speedup(config: &SystemConfig) -> (f64, [Throughput; 2]) {
                 let outcome = if slot == 0 {
                     scan::scan_scalar(&params, &scan_ways)
                 } else {
-                    scan::scan_lanes(&params, &scan_ways)
+                    scan::scan(&params, &scan_ways)
                 };
                 acc ^= outcome.best_key;
             }
@@ -264,7 +265,10 @@ fn main() {
     println!("measured packed-vs-seed speedup: {speedup:.2}x");
 
     let (simd_speedup, scan_rows) = victim_scan_speedup(&config);
-    println!("measured lane-vs-scalar victim-scan speedup: {simd_speedup:.2}x");
+    println!(
+        "measured {}-vs-scalar victim-scan speedup: {simd_speedup:.2}x",
+        scan::kernel()
+    );
     let [scan_scalar_row, scan_simd_row] = scan_rows;
 
     let (timing_ratio, timing_rows) = timing_mode_ratio(&config);

@@ -18,9 +18,7 @@ use cache_sim::{
     Access, CoreHierarchy, LlcTrace, ReferenceCache, SetAssocCache, SharedLlc, SingleCoreSystem,
     SystemConfig, TimingMode,
 };
-use experiments::runner::{
-    demand_requests, replay_hierarchy, replay_llc_reader, replay_llc_trace, HierarchyReplayMode,
-};
+use experiments::runner::{demand_requests, replay_hierarchy, replay_llc_reader, replay_llc_trace};
 use experiments::PolicyKind;
 use rlr::packed::LineMeta;
 use rlr::scan::{self, ScanParams, ScanWays};
@@ -175,32 +173,17 @@ fn main() {
         rows.push(Throughput { measurement: m, accesses: LEVEL_ACCESSES });
     }
 
-    // Full three-level replay of the captured 429.mcf demand stream:
-    // per-access dispatch vs the staged L1/L2 batch path (both are wall-
-    // checked bit-identical by `experiments/tests/hierarchy_batch.rs`).
+    // Full three-level replay of the captured 429.mcf demand stream, one
+    // `data_access` per request.
     let requests = demand_requests(&trace);
     let demand = requests.len() as u64;
     println!("hierarchy_replay (429.mcf demand stream, {demand} requests):");
-    let mut replay_rows = [0.0f64; 2];
-    for (slot, (label, mode)) in [
-        ("per_access", HierarchyReplayMode::PerAccess),
-        ("batched", HierarchyReplayMode::Batched),
-    ]
-    .into_iter()
-    .enumerate()
-    {
-        let m = harness::bench(&format!("hierarchy_replay/{label}"), || {
-            let mut core = CoreHierarchy::new(0, &config);
-            let mut llc = SharedLlc::new(&config, PolicyKind::Rlr.build(&config.llc, None));
-            black_box(replay_hierarchy(&mut core, &mut llc, &requests, mode).len())
-        });
-        replay_rows[slot] = m.median_ns as f64;
-        rows.push(Throughput { measurement: m, accesses: demand });
-    }
-    println!(
-        "    batched replay is {:.2}x the per-access path",
-        replay_rows[0] / replay_rows[1].max(1.0)
-    );
+    let m = harness::bench("hierarchy_replay/per_access", || {
+        let mut core = CoreHierarchy::new(0, &config);
+        let mut llc = SharedLlc::new(&config, PolicyKind::Rlr.build(&config.llc, None));
+        black_box(replay_hierarchy(&mut core, &mut llc, &requests).len())
+    });
+    rows.push(Throughput { measurement: m, accesses: demand });
 
     // Timing modes over the full system: the analytic MLP formula vs the
     // discrete-event core with DRAM bank queueing. Same functional stream
@@ -226,9 +209,8 @@ fn main() {
     );
 
     // The victim scan in isolation: the RLR per-way key computation over
-    // LLC-shaped sets, scalar reference vs lane-parallel backend. Both
-    // backends stay compiled in every build, so the bench always compares
-    // them directly regardless of the `scalar-scan` feature.
+    // LLC-shaped sets, scalar kernel vs the dispatched one (`scan::kernel`
+    // names which kernel that is on this host).
     let (params, age_stamps, rec_stamps, metas) = scan_fixture(&config);
     let sets = config.llc.sets as usize;
     let ways = usize::from(config.llc.ways);
@@ -248,7 +230,7 @@ fn main() {
                 let outcome = if slot == 0 {
                     scan::scan_scalar(&params, &scan_ways)
                 } else {
-                    scan::scan_lanes(&params, &scan_ways)
+                    scan::scan(&params, &scan_ways)
                 };
                 acc ^= outcome.best_key;
             }
@@ -258,8 +240,9 @@ fn main() {
         rows.push(Throughput { measurement: m, accesses: sets as u64 });
     }
     println!(
-        "victim_scan: lane backend is {:.2}x the scalar reference \
+        "victim_scan: {} kernel is {:.2}x the scalar kernel \
          ({sets} sets x {ways} ways per call)",
+        scan::kernel(),
         scan_rows[0] / scan_rows[1].max(1.0)
     );
 

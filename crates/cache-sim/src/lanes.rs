@@ -5,36 +5,21 @@
 //! is unique (the way disambiguates full ties), `min` over the keys is a
 //! plain associative, commutative fold — the reduction order cannot change
 //! the winner — so the scan can run as [`LANES`] independent accumulator
-//! lanes that LLVM keeps in vector registers (or, on targets without an
-//! unsigned 64-bit vector min, as independent scalar chains that still
-//! break the serial dependency of a one-accumulator loop).
-//!
-//! The `scalar-scan` cargo feature swaps [`min_key`] to the one-accumulator
-//! reference loop at build time; `scripts/ci.sh` runs the differential
-//! walls against both builds so the two backends stay interchangeable.
+//! lanes. On CPUs with AVX-512VL the lanes compile to one unsigned 64-bit
+//! vector min per stripe; elsewhere they are independent scalar chains
+//! that still break the serial dependency of a one-accumulator loop. The
+//! tests check it against a one-accumulator fold.
 
-/// Accumulator lanes in the vectorized reduction.
+/// Accumulator lanes in the reduction.
 pub const LANES: usize = 4;
 
-/// One-accumulator reference reduction: the minimum key in `keys`.
+/// The minimum key in `keys`.
 ///
 /// # Panics
 ///
 /// Panics when `keys` is empty (a victim scan always sees ≥ 1 way).
 #[inline]
-pub fn min_key_scalar(keys: &[u64]) -> u64 {
-    assert!(!keys.is_empty(), "victim scan over an empty set");
-    keys.iter().copied().fold(u64::MAX, u64::min)
-}
-
-/// Lane-parallel reduction: identical result to [`min_key_scalar`] for any
-/// input, in any build, on any target — only the schedule differs.
-///
-/// # Panics
-///
-/// Panics when `keys` is empty (a victim scan always sees ≥ 1 way).
-#[inline]
-pub fn min_key_lanes(keys: &[u64]) -> u64 {
+pub fn min_key(keys: &[u64]) -> u64 {
     assert!(!keys.is_empty(), "victim scan over an empty set");
     #[cfg(target_arch = "x86_64")]
     {
@@ -43,23 +28,23 @@ pub fn min_key_lanes(keys: &[u64]) -> u64 {
             && std::arch::is_x86_feature_detected!("avx512vl")
         {
             // SAFETY: feature presence was just verified at runtime.
-            return unsafe { min_key_lanes_avx512(keys) };
+            return unsafe { min_key_avx512(keys) };
         }
     }
-    min_key_lanes_portable(keys)
+    min_key_lanes(keys)
 }
 
-/// [`min_key_lanes_portable`] compiled with the unsigned 64-bit vector min
+/// [`min_key_lanes`] compiled with the unsigned 64-bit vector min
 /// available, so the lane accumulators become one `vpminuq` per stripe.
 /// Same fold, same result — the wrapper only widens the registers.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vl")]
-unsafe fn min_key_lanes_avx512(keys: &[u64]) -> u64 {
-    min_key_lanes_portable(keys)
+unsafe fn min_key_avx512(keys: &[u64]) -> u64 {
+    min_key_lanes(keys)
 }
 
 #[inline(always)]
-fn min_key_lanes_portable(keys: &[u64]) -> u64 {
+fn min_key_lanes(keys: &[u64]) -> u64 {
     let mut acc = [u64::MAX; LANES];
     let mut chunks = keys.chunks_exact(LANES);
     for chunk in &mut chunks {
@@ -74,45 +59,33 @@ fn min_key_lanes_portable(keys: &[u64]) -> u64 {
     best
 }
 
-/// The build-selected reduction backend ([`min_key_lanes`] by default, the
-/// scalar reference under the `scalar-scan` feature).
-#[inline]
-pub fn min_key(keys: &[u64]) -> u64 {
-    if cfg!(feature = "scalar-scan") {
-        min_key_scalar(keys)
-    } else {
-        min_key_lanes(keys)
-    }
-}
-
-/// `true` when [`min_key`] resolves to the lane backend in this build.
-#[must_use]
-pub const fn lanes_enabled() -> bool {
-    !cfg!(feature = "scalar-scan")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// One-accumulator reference reduction: the oracle for [`min_key`].
+    fn min_key_scalar(keys: &[u64]) -> u64 {
+        keys.iter().copied().fold(u64::MAX, u64::min)
+    }
+
     #[test]
-    fn backends_agree_on_all_lengths_and_positions() {
+    fn reduction_matches_the_oracle_on_all_lengths_and_positions() {
         for n in 1..=33usize {
             for min_at in 0..n {
                 let keys: Vec<u64> =
                     (0..n).map(|i| if i == min_at { 7 } else { 1000 + i as u64 }).collect();
                 assert_eq!(min_key_scalar(&keys), 7);
-                assert_eq!(min_key_lanes(&keys), 7);
                 assert_eq!(min_key(&keys), 7);
+                assert_eq!(min_key_lanes(&keys), 7);
             }
         }
     }
 
     #[test]
-    fn extreme_values_survive_both_backends() {
+    fn extreme_values_survive_the_reduction() {
         let keys = [u64::MAX, u64::MAX - 1, 0, u64::MAX];
         assert_eq!(min_key_scalar(&keys), 0);
-        assert_eq!(min_key_lanes(&keys), 0);
+        assert_eq!(min_key(&keys), 0);
     }
 
     #[test]

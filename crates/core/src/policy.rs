@@ -215,9 +215,9 @@ impl ReplacementPolicy for RlrPolicy {
         // The victim scan is the policy's hot loop: every set-wide value
         // (clock/epoch, RD, the configuration knobs, the slice bases) is
         // hoisted here, and the per-way argmin over the packed
-        // `(priority | staleness | way)` key runs in [`crate::scan`] —
-        // lane-parallel by default, scalar under the `scalar-scan`
-        // feature, bit-identical either way (see the module docs for the
+        // `(priority | staleness | way)` key runs in [`crate::scan`] — on
+        // the AVX-512VL kernel where the CPU has it, the scalar kernel
+        // elsewhere, bit-identical either way (see the module docs for the
         // key layout and the order-insensitivity argument).
         let ways = usize::from(self.ways);
         let base = self.idx(set, 0);

@@ -13,21 +13,25 @@
 //! ties, and the way index in the low bits makes every key unique — so the
 //! scan is an argmin over unique u64 keys, and `min` over them is an
 //! associative, commutative fold whose result cannot depend on reduction
-//! order. That order-insensitivity is what licenses the lane backend
-//! ([`scan_lanes`]): four independent accumulator lanes consume the ways
-//! in stripes, then a horizontal min merges the lanes; any non-multiple-of-
-//! four remainder folds in scalarly. [`scan_scalar`] is the one-accumulator
-//! reference, kept compiled in every build for the differential property
-//! suite (`tests/simd_scan_equivalence.rs`).
+//! order. That order-insensitivity is what licenses the vector kernel.
 //!
-//! [`scan`] picks the backend at build time: lanes by default, the scalar
-//! reference under the `scalar-scan` cargo feature (which also switches
-//! cache-sim's own lane scans). Both backends are bit-identical by
-//! construction and oracle-checked twice per commit by `scripts/ci.sh`.
+//! There are two kernels, both sharing the per-way [`way_key`]:
+//!
+//! - **AVX-512VL** (x86-64 hosts that report `avx512f` + `avx512vl`): four
+//!   ways per stripe in 256-bit registers, reduced with the unsigned
+//!   64-bit vector min. It serves both [`scan`] and [`scan_masked`]; the
+//!   way mask enters through the mask-register min and compare.
+//! - **Scalar** ([`scan_scalar`], [`scan_masked_scalar`]): the
+//!   one-accumulator loop. It runs on every other host and for P_core
+//!   tables that do not pack into one u64, and it is the oracle of the
+//!   differential suite (`tests/simd_scan_equivalence.rs`).
+//!
+//! [`scan`] and [`scan_masked`] pick the kernel per call from what the CPU
+//! can do; [`kernel`] names the one they pick.
 
 use crate::packed::LineMeta;
 
-/// Accumulator lanes in the vectorized scan.
+/// Ways per stripe of the vector kernel.
 pub const LANES: usize = 4;
 
 /// Width mask of the staleness field: 38 bits cover ~2.7×10¹¹ set accesses
@@ -91,7 +95,7 @@ impl ScanOutcome {
 }
 
 /// Key and bypass flag for a single way — the shared per-element kernel of
-/// both backends, so they can only differ in reduction schedule.
+/// both kernels, so they can only differ in reduction schedule.
 #[inline(always)]
 fn way_key(p: &ScanParams, ways: &ScanWays, way: usize) -> (u64, bool) {
     let age = (p.now - ways.age_stamps[way]).min(p.max_age);
@@ -121,8 +125,18 @@ fn check_shape(ways: &ScanWays) -> usize {
     n
 }
 
-/// One-accumulator reference scan, compiled in every build as the oracle
-/// for the lane backend.
+/// Validates a way mask for the masked scan: at least one eligible way,
+/// and a set narrow enough for the 32-bit mask to cover.
+fn check_mask(mask: u32, n: usize) -> u32 {
+    assert!(n <= 32, "masked scans cover at most 32 ways");
+    let set_bits = if n == 32 { u32::MAX } else { (1u32 << n) - 1 };
+    let mask = mask & set_bits;
+    assert!(mask != 0, "masked scan with no eligible way");
+    mask
+}
+
+/// One-accumulator scan: the fallback kernel and the oracle for the
+/// vector one.
 pub fn scan_scalar(params: &ScanParams, ways: &ScanWays) -> ScanOutcome {
     let n = check_shape(ways);
     let mut best_key = u64::MAX;
@@ -135,93 +149,125 @@ pub fn scan_scalar(params: &ScanParams, ways: &ScanWays) -> ScanOutcome {
     ScanOutcome { best_key, any_past_rd }
 }
 
-/// Lane-parallel scan: [`LANES`] independent accumulators consume the ways
-/// in stripes, the remainder folds in scalarly, and a horizontal min/or
-/// merges the lanes. Identical result to [`scan_scalar`] for any input —
-/// the keys are unique, so the min is reduction-order-insensitive, and the
-/// bypass flag is an `or`, which is too.
-pub fn scan_lanes(params: &ScanParams, ways: &ScanWays) -> ScanOutcome {
-    if ways.core_rank.is_empty() {
-        dispatch::<CORE_OFF>(params, ways)
-    } else if ways.core_rank.len() <= 8 && ways.core_rank.iter().all(|&r| r <= 0xFF) {
-        // The common multicore shape (≤ 8 cores, tiny rank values): the
-        // whole rank table packs into one u64 and the per-way lookup
-        // becomes a variable shift, which vectorizes where a gather
-        // cannot.
-        dispatch::<CORE_PACKED>(params, ways)
-    } else {
-        dispatch::<CORE_GATHER>(params, ways)
+/// One-accumulator masked scan: identical to [`scan_scalar`] over the
+/// subset of ways whose bit is set in `mask`. Ineligible ways contribute
+/// nothing — neither a key nor a bypass vote — so a partitioned victim
+/// scan can never name a way outside its mask.
+pub fn scan_masked_scalar(params: &ScanParams, ways: &ScanWays, mask: u32) -> ScanOutcome {
+    let n = check_shape(ways);
+    let mask = check_mask(mask, n);
+    let mut best_key = u64::MAX;
+    let mut any_past_rd = false;
+    for way in 0..n {
+        if mask & (1 << way) == 0 {
+            continue;
+        }
+        let (key, past_rd) = way_key(params, ways, way);
+        best_key = best_key.min(key);
+        any_past_rd |= past_rd;
     }
+    ScanOutcome { best_key, any_past_rd }
 }
 
-/// P_core is off ([`ScanWays::core_rank`] empty).
-const CORE_OFF: u8 = 0;
-/// P_core reads a rank table packed into one u64, one byte per core.
-const CORE_PACKED: u8 = 1;
-/// P_core falls back to an indexed load per way (rank table too big or
-/// rank values too large to pack).
-const CORE_GATHER: u8 = 2;
-
-/// Routes one scan to the widest kernel this machine can run. Every
-/// candidate compiles the *same* `#[inline(always)]` body
-/// ([`scan_lanes_impl`]) — the `#[target_feature]` wrappers only let the
-/// compiler use wider registers for it — so the result is bit-identical
-/// across targets by construction, and the differential wall only ever
-/// has to compare two schedules (scalar vs lanes), not one per ISA.
+/// The victim scan on the fastest kernel this host runs. Bit-identical to
+/// [`scan_scalar`] for any input.
 #[inline]
-fn dispatch<const MODE: u8>(params: &ScanParams, ways: &ScanWays) -> ScanOutcome {
+pub fn scan(params: &ScanParams, ways: &ScanWays) -> ScanOutcome {
     #[cfg(target_arch = "x86_64")]
-    {
-        // Detection results are cached by std; steady state is one
-        // predictable load+branch per scan. The hand-vectorized kernel
-        // does not implement the (rare) gather fallback — that shape
-        // stays on the portable body.
-        if MODE != CORE_GATHER
-            && std::arch::is_x86_feature_detected!("avx512f")
-            && std::arch::is_x86_feature_detected!("avx512vl")
-        {
-            // SAFETY: feature presence was just verified at runtime.
-            return unsafe { avx512::scan::<MODE>(params, ways) };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: feature presence was just verified at runtime.
-            return unsafe { scan_lanes_avx2::<MODE>(params, ways) };
-        }
+    if let Some(outcome) = avx512::dispatch::<false>(params, ways, u32::MAX) {
+        return outcome;
     }
-    scan_lanes_impl::<MODE>(params, ways)
+    scan_scalar(params, ways)
 }
 
-/// [`scan_lanes_impl`] compiled with 256-bit vectors available.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn scan_lanes_avx2<const MODE: u8>(params: &ScanParams, ways: &ScanWays) -> ScanOutcome {
-    scan_lanes_impl::<MODE>(params, ways)
+/// The masked victim scan on the fastest kernel this host runs.
+/// Bit-identical to [`scan_masked_scalar`] for any input.
+#[inline]
+pub fn scan_masked(params: &ScanParams, ways: &ScanWays, mask: u32) -> ScanOutcome {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(outcome) = avx512::dispatch::<true>(params, ways, mask) {
+        return outcome;
+    }
+    scan_masked_scalar(params, ways, mask)
+}
+
+/// The kernel [`scan`] and [`scan_masked`] run on this host: `"avx512vl"`
+/// or `"scalar"`. P_core tables that do not pack into one u64 take the
+/// scalar kernel on every host.
+#[must_use]
+pub fn kernel() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if avx512::available() {
+        return "avx512vl";
+    }
+    "scalar"
 }
 
 /// The hand-vectorized stripe kernel: AVX-512VL gives unsigned 64-bit
 /// min (`vpminuq`), unsigned 64-bit compares into mask registers, and
 /// per-lane variable shifts — everything the packed-key argmin needs as
 /// single instructions over 4×u64 lanes. Autovectorization never fires
-/// on the portable body (the mix of u8 widening, bool selects, and u64
-/// min defeats SLP), so this path writes the lanes explicitly.
+/// on a portable lane body (the mix of u8 widening, bool selects, and u64
+/// min defeats SLP), so this kernel writes the lanes explicitly.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
     #[allow(clippy::wildcard_imports)]
     use std::arch::x86_64::*;
 
     use super::{
-        way_key, ScanOutcome, ScanParams, ScanWays, CORE_PACKED, LANES, REC_MASK,
+        check_mask, check_shape, way_key, ScanOutcome, ScanParams, ScanWays, LANES, REC_MASK,
     };
     use crate::packed::LineMeta;
 
-    /// Lane-by-lane identical to [`super::scan_lanes_impl`]: the same
-    /// terms in the same widths, only expressed as explicit 256-bit ops.
+    /// Whether the CPU runs this kernel. Detection results are cached by
+    /// std; steady state is one predictable load+branch per scan.
+    #[inline]
+    pub fn available() -> bool {
+        std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512vl")
+    }
+
+    /// Runs the kernel when the CPU has it and the P_core table is empty
+    /// or packs into one u64 (≤ 8 cores, every rank ≤ 255); `None` sends
+    /// the caller to the scalar kernel.
+    #[inline]
+    pub fn dispatch<const MASKED: bool>(
+        params: &ScanParams,
+        ways: &ScanWays,
+        mask: u32,
+    ) -> Option<ScanOutcome> {
+        if !available() {
+            return None;
+        }
+        if ways.core_rank.is_empty() {
+            // SAFETY: feature presence was just verified at runtime.
+            Some(unsafe { scan::<false, MASKED>(params, ways, mask) })
+        } else if ways.core_rank.len() <= 8 && ways.core_rank.iter().all(|&r| r <= 0xFF) {
+            // SAFETY: as above.
+            Some(unsafe { scan::<true, MASKED>(params, ways, mask) })
+        } else {
+            None
+        }
+    }
+
+    /// Lane-by-lane identical to [`way_key`]: the same terms, widened to
+    /// u64 (priority sums stay < 1024, so widening cannot change a key).
+    /// `CORE` turns on P_core from a rank table packed into one u64 —
+    /// byte `c` holds core `c`'s rank, so the per-way lookup is a variable
+    /// shift instead of a gather. `MASKED` restricts the min and the
+    /// bypass vote to the ways whose bit is set in `mask`; with it off the
+    /// kernel does no mask work at all.
     ///
     /// # Safety
     /// Caller must have verified `avx512f` and `avx512vl` at runtime.
     #[target_feature(enable = "avx512f,avx512vl")]
-    pub unsafe fn scan<const MODE: u8>(params: &ScanParams, ways: &ScanWays) -> ScanOutcome {
-        let n = super::check_shape(ways);
+    unsafe fn scan<const CORE: bool, const MASKED: bool>(
+        params: &ScanParams,
+        ways: &ScanWays,
+        mask: u32,
+    ) -> ScanOutcome {
+        let n = check_shape(ways);
+        let mask = if MASKED { check_mask(mask, n) } else { mask };
         let p = *params;
         let splat = |v: u64| _mm256_set1_epi64x(v as i64);
         let now = splat(p.now);
@@ -236,7 +282,6 @@ mod avx512 {
         let rec_mask = splat(REC_MASK);
         let pf_bit = splat(u64::from(LineMeta::PREFETCH_BIT));
         let hit_mask = splat(u64::from(LineMeta::HIT_MASK));
-        // CORE_PACKED: the rank table as one u64, byte `c` = core c's rank.
         let rank_table = splat(
             ways.core_rank
                 .iter()
@@ -271,10 +316,11 @@ mod avx512 {
             // P_hit: + use_hit where the hit counter is non-zero.
             let hit_nz = _mm256_test_epi64_mask(metas, hit_mask);
             prio = _mm256_add_epi64(prio, _mm256_maskz_mov_epi64(hit_nz, hit_on));
-            if MODE == CORE_PACKED {
+            if CORE {
                 let core_bytes = ways.cores.as_ptr().add(way).cast::<u32>().read_unaligned();
                 let cores = _mm256_cvtepu8_epi64(_mm_cvtsi32_si128(core_bytes as i32));
-                // rank = byte `core` of the table, 0 when out of range.
+                // rank = byte `core` of the table, 0 when out of range
+                // (the `unwrap_or(0)` of `way_key`).
                 let keep = _mm256_cmplt_epu64_mask(cores, rank_len);
                 let shift = _mm256_slli_epi64(_mm256_and_si256(cores, splat(7)), 3);
                 let rank =
@@ -292,8 +338,18 @@ mod avx512 {
                 _mm256_or_si256(_mm256_slli_epi64(prio, 54), _mm256_slli_epi64(staleness, 16)),
                 idx,
             );
-            best = _mm256_min_epu64(best, key);
-            past |= _mm256_cmpgt_epu64_mask(age, rd);
+            if MASKED {
+                // Ineligible lanes keep their old minimum and cast no
+                // bypass vote. Their stamps are still read, which is sound:
+                // every stamp in a set comes from the same per-set clock,
+                // so it never exceeds `now`/`clock`.
+                let eligible = ((mask >> way) & 0xF) as __mmask8;
+                best = _mm256_mask_min_epu64(best, eligible, best, key);
+                past |= _mm256_mask_cmpgt_epu64_mask(eligible, age, rd);
+            } else {
+                best = _mm256_min_epu64(best, key);
+                past |= _mm256_cmpgt_epu64_mask(age, rd);
+            }
             idx = _mm256_add_epi64(idx, step);
             way += LANES;
         }
@@ -303,259 +359,15 @@ mod avx512 {
         let mut best_key = lanes.into_iter().fold(u64::MAX, u64::min);
         let mut any_past_rd = past != 0;
         while way < n {
-            let (key, past_rd) = way_key(params, ways, way);
-            best_key = best_key.min(key);
-            any_past_rd |= past_rd;
+            if !MASKED || mask & (1 << way) != 0 {
+                let (key, past_rd) = way_key(params, ways, way);
+                best_key = best_key.min(key);
+                any_past_rd |= past_rd;
+            }
             way += 1;
         }
         ScanOutcome { best_key, any_past_rd }
     }
-}
-
-/// The lane kernel, monomorphized on the P_core mode. The stripe body is
-/// branch-free u64 arithmetic over fixed-size array views, so the compiler
-/// sees no bounds checks and no data-dependent control flow; every term
-/// matches [`way_key`] bit for bit (priority sums stay < 1024, so widening
-/// the math to u64 cannot change a result, and in `CORE_PACKED` mode the
-/// byte extracted by the shift equals the table entry the gather would
-/// load, with out-of-range cores masked to the same 0).
-#[inline(always)]
-fn scan_lanes_impl<const MODE: u8>(params: &ScanParams, ways: &ScanWays) -> ScanOutcome {
-    let n = check_shape(ways);
-    let p = *params;
-    let weight = u64::from(p.age_weight);
-    let type_on = u64::from(p.use_type);
-    let hit_on = u64::from(p.use_hit);
-    // All-ones when staleness is the exact recency clock, all-zeros when it
-    // reuses the clamped age — a branchless select below.
-    let exact = (p.exact_recency as u64).wrapping_neg();
-    // CORE_PACKED: the whole rank table as one u64, byte `c` holding
-    // core `c`'s rank.
-    let rank_table = if MODE == CORE_PACKED {
-        ways.core_rank.iter().enumerate().fold(0u64, |t, (c, &r)| t | (u64::from(r) << (8 * c)))
-    } else {
-        0
-    };
-    let rank_len = ways.core_rank.len() as u64;
-    let mut best = [u64::MAX; LANES];
-    let mut past = [0u64; LANES];
-    let mut way = 0;
-    while way + LANES <= n {
-        let stripe = way..way + LANES;
-        let age_s: &[u64; LANES] = ways.age_stamps[stripe.clone()].try_into().expect("stripe");
-        let rec_s: &[u64; LANES] = ways.rec_stamps[stripe.clone()].try_into().expect("stripe");
-        let metas: &[LineMeta; LANES] = ways.metas[stripe.clone()].try_into().expect("stripe");
-        let cores: &[u8; LANES] = if MODE == CORE_OFF {
-            &[0; LANES]
-        } else {
-            ways.cores[stripe.clone()].try_into().expect("stripe")
-        };
-        for lane in 0..LANES {
-            let age = (p.now - age_s[lane]).min(p.max_age);
-            let meta = metas[lane];
-            let mut prio = u64::from(age <= p.rd) * weight
-                + (type_on & u64::from(!meta.last_prefetch()))
-                + (hit_on & u64::from(meta.hit_count() > 0));
-            if MODE == CORE_PACKED {
-                let core = u64::from(cores[lane]);
-                let keep = ((core < rank_len) as u64).wrapping_neg();
-                prio += (rank_table >> ((core & 7) * 8)) & 0xFF & keep;
-            } else if MODE == CORE_GATHER {
-                let core = usize::from(cores[lane]);
-                prio += u64::from(ways.core_rank.get(core).copied().unwrap_or(0));
-            }
-            // wrapping_sub: the difference is only meaningful (and only
-            // kept) when `exact` selects it, and then rec ≤ clock holds.
-            let staleness = (exact & p.clock.wrapping_sub(rec_s[lane])) | (!exact & age);
-            let key = (prio << 54) | (staleness.min(REC_MASK) << 16) | (way + lane) as u64;
-            best[lane] = best[lane].min(key);
-            past[lane] |= u64::from(age > p.rd);
-        }
-        way += LANES;
-    }
-    let mut best_key = best.into_iter().fold(u64::MAX, u64::min);
-    let mut any_past_rd = past.into_iter().fold(0, |a, b| a | b) != 0;
-    while way < n {
-        let (key, past_rd) = way_key(params, ways, way);
-        best_key = best_key.min(key);
-        any_past_rd |= past_rd;
-        way += 1;
-    }
-    ScanOutcome { best_key, any_past_rd }
-}
-
-/// The build-selected backend: [`scan_lanes`] by default, [`scan_scalar`]
-/// under the `scalar-scan` feature.
-#[inline]
-pub fn scan(params: &ScanParams, ways: &ScanWays) -> ScanOutcome {
-    if cfg!(feature = "scalar-scan") {
-        scan_scalar(params, ways)
-    } else {
-        scan_lanes(params, ways)
-    }
-}
-
-/// Validates a way mask for the masked scan: at least one eligible way,
-/// and a set narrow enough for the 32-bit mask to cover.
-fn check_mask(mask: u32, n: usize) -> u32 {
-    assert!(n <= 32, "masked scans cover at most 32 ways");
-    let set_bits = if n == 32 { u32::MAX } else { (1u32 << n) - 1 };
-    let mask = mask & set_bits;
-    assert!(mask != 0, "masked scan with no eligible way");
-    mask
-}
-
-/// One-accumulator reference for the masked scan: identical to
-/// [`scan_scalar`] over the subset of ways whose bit is set in `mask`.
-/// Ineligible ways contribute nothing — neither a key nor a bypass vote —
-/// so a partitioned victim scan can never name a way outside its mask.
-pub fn scan_masked_scalar(params: &ScanParams, ways: &ScanWays, mask: u32) -> ScanOutcome {
-    let n = check_shape(ways);
-    let mask = check_mask(mask, n);
-    let mut best_key = u64::MAX;
-    let mut any_past_rd = false;
-    for way in 0..n {
-        if mask & (1 << way) == 0 {
-            continue;
-        }
-        let (key, past_rd) = way_key(params, ways, way);
-        best_key = best_key.min(key);
-        any_past_rd |= past_rd;
-    }
-    ScanOutcome { best_key, any_past_rd }
-}
-
-/// Lane-parallel masked scan: the same stripe kernel as [`scan_lanes`],
-/// with ineligible lanes forced to `u64::MAX` keys (so they can never win
-/// the argmin) and their bypass votes suppressed. The mask select is
-/// branch-free — a per-lane all-ones/all-zeros keep word — so the stripe
-/// body stays straight-line and reaches 256-bit registers through the same
-/// `#[target_feature]` wrapper as the unmasked kernel.
-///
-/// Ineligible ways' stamps are still *read* (then discarded), which is
-/// sound because every stamp in a set is written from the same per-set
-/// clock and therefore never exceeds `now`/`clock`.
-pub fn scan_masked_lanes(params: &ScanParams, ways: &ScanWays, mask: u32) -> ScanOutcome {
-    if ways.core_rank.is_empty() {
-        dispatch_masked::<CORE_OFF>(params, ways, mask)
-    } else if ways.core_rank.len() <= 8 && ways.core_rank.iter().all(|&r| r <= 0xFF) {
-        dispatch_masked::<CORE_PACKED>(params, ways, mask)
-    } else {
-        dispatch_masked::<CORE_GATHER>(params, ways, mask)
-    }
-}
-
-#[inline]
-fn dispatch_masked<const MODE: u8>(params: &ScanParams, ways: &ScanWays, mask: u32) -> ScanOutcome {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if MODE != CORE_GATHER && std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: feature presence was just verified at runtime.
-            return unsafe { scan_masked_lanes_avx2::<MODE>(params, ways, mask) };
-        }
-    }
-    scan_masked_lanes_impl::<MODE>(params, ways, mask)
-}
-
-/// [`scan_masked_lanes_impl`] compiled with 256-bit vectors available.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn scan_masked_lanes_avx2<const MODE: u8>(
-    params: &ScanParams,
-    ways: &ScanWays,
-    mask: u32,
-) -> ScanOutcome {
-    scan_masked_lanes_impl::<MODE>(params, ways, mask)
-}
-
-/// The masked stripe kernel: [`scan_lanes_impl`] plus a per-lane keep word
-/// derived from the mask bit. `key | !keep` is `key` for eligible lanes and
-/// `u64::MAX` for ineligible ones, and `past & keep` drops ineligible
-/// bypass votes — both branch-free.
-#[inline(always)]
-fn scan_masked_lanes_impl<const MODE: u8>(
-    params: &ScanParams,
-    ways: &ScanWays,
-    mask: u32,
-) -> ScanOutcome {
-    let n = check_shape(ways);
-    let mask = check_mask(mask, n);
-    let p = *params;
-    let weight = u64::from(p.age_weight);
-    let type_on = u64::from(p.use_type);
-    let hit_on = u64::from(p.use_hit);
-    let exact = (p.exact_recency as u64).wrapping_neg();
-    let rank_table = if MODE == CORE_PACKED {
-        ways.core_rank.iter().enumerate().fold(0u64, |t, (c, &r)| t | (u64::from(r) << (8 * c)))
-    } else {
-        0
-    };
-    let rank_len = ways.core_rank.len() as u64;
-    let mut best = [u64::MAX; LANES];
-    let mut past = [0u64; LANES];
-    let mut way = 0;
-    while way + LANES <= n {
-        let stripe = way..way + LANES;
-        let age_s: &[u64; LANES] = ways.age_stamps[stripe.clone()].try_into().expect("stripe");
-        let rec_s: &[u64; LANES] = ways.rec_stamps[stripe.clone()].try_into().expect("stripe");
-        let metas: &[LineMeta; LANES] = ways.metas[stripe.clone()].try_into().expect("stripe");
-        let cores: &[u8; LANES] = if MODE == CORE_OFF {
-            &[0; LANES]
-        } else {
-            ways.cores[stripe.clone()].try_into().expect("stripe")
-        };
-        for lane in 0..LANES {
-            let keep = (u64::from((mask >> (way + lane)) & 1)).wrapping_neg();
-            let age = (p.now - age_s[lane]).min(p.max_age);
-            let meta = metas[lane];
-            let mut prio = u64::from(age <= p.rd) * weight
-                + (type_on & u64::from(!meta.last_prefetch()))
-                + (hit_on & u64::from(meta.hit_count() > 0));
-            if MODE == CORE_PACKED {
-                let core = u64::from(cores[lane]);
-                let in_table = ((core < rank_len) as u64).wrapping_neg();
-                prio += (rank_table >> ((core & 7) * 8)) & 0xFF & in_table;
-            } else if MODE == CORE_GATHER {
-                let core = usize::from(cores[lane]);
-                prio += u64::from(ways.core_rank.get(core).copied().unwrap_or(0));
-            }
-            let staleness = (exact & p.clock.wrapping_sub(rec_s[lane])) | (!exact & age);
-            let key = (prio << 54) | (staleness.min(REC_MASK) << 16) | (way + lane) as u64;
-            best[lane] = best[lane].min(key | !keep);
-            past[lane] |= u64::from(age > p.rd) & keep;
-        }
-        way += LANES;
-    }
-    let mut best_key = best.into_iter().fold(u64::MAX, u64::min);
-    let mut any_past_rd = past.into_iter().fold(0, |a, b| a | b) != 0;
-    while way < n {
-        if mask & (1 << way) != 0 {
-            let (key, past_rd) = way_key(params, ways, way);
-            best_key = best_key.min(key);
-            any_past_rd |= past_rd;
-        }
-        way += 1;
-    }
-    ScanOutcome { best_key, any_past_rd }
-}
-
-/// The build-selected masked backend: [`scan_masked_lanes`] by default,
-/// [`scan_masked_scalar`] under the `scalar-scan` feature — the same
-/// selection rule as [`scan`], so the dual-build differential walls cover
-/// the masked kernel too.
-#[inline]
-pub fn scan_masked(params: &ScanParams, ways: &ScanWays, mask: u32) -> ScanOutcome {
-    if cfg!(feature = "scalar-scan") {
-        scan_masked_scalar(params, ways, mask)
-    } else {
-        scan_masked_lanes(params, ways, mask)
-    }
-}
-
-/// `true` when [`scan`] resolves to the lane backend in this build.
-#[must_use]
-pub const fn lanes_enabled() -> bool {
-    !cfg!(feature = "scalar-scan")
 }
 
 #[cfg(test)]
@@ -576,7 +388,7 @@ mod tests {
     }
 
     #[test]
-    fn backends_agree_on_a_mixed_set() {
+    fn kernels_agree_on_a_mixed_set() {
         let age_stamps = [0, 7, 9, 3, 10, 10, 2];
         let rec_stamps = [1, 7, 9, 3, 10, 10, 2];
         let metas: Vec<LineMeta> = [(0u8, false), (1, false), (0, true), (2, false), (0, true), (1, false), (0, false)]
@@ -597,12 +409,11 @@ mod tests {
             core_rank: &core_rank,
         };
         let p = params();
-        assert_eq!(scan_scalar(&p, &ways), scan_lanes(&p, &ways));
         assert_eq!(scan(&p, &ways), scan_scalar(&p, &ways));
     }
 
     #[test]
-    fn masked_backends_agree_and_stay_inside_the_mask() {
+    fn masked_kernels_agree_and_stay_inside_the_mask() {
         let age_stamps = [0u64, 7, 9, 3, 10, 10, 2, 5, 1];
         let rec_stamps = [1u64, 7, 9, 3, 10, 10, 2, 5, 1];
         let metas: Vec<LineMeta> = (0..9)
@@ -624,8 +435,7 @@ mod tests {
         let p = params();
         for mask in 1u32..(1 << 9) {
             let scalar = scan_masked_scalar(&p, &ways, mask);
-            let lanes = scan_masked_lanes(&p, &ways, mask);
-            assert_eq!(scalar, lanes, "mask {mask:#b}");
+            assert_eq!(scan_masked(&p, &ways, mask), scalar, "mask {mask:#b}");
             assert!(mask & (1 << scalar.victim()) != 0, "victim outside mask {mask:#b}");
         }
     }
@@ -657,7 +467,7 @@ mod tests {
             cores: &[],
             core_rank: &[],
         };
-        scan_masked_scalar(&params(), &ways, 0xF0);
+        scan_masked(&params(), &ways, 0xF0);
     }
 
     #[test]
@@ -672,7 +482,17 @@ mod tests {
             core_rank: &[],
         };
         let p = params();
-        assert_eq!(scan_lanes(&p, &ways).victim(), 0);
+        assert_eq!(scan(&p, &ways).victim(), 0);
         assert_eq!(scan_scalar(&p, &ways).victim(), 0);
+    }
+
+    #[test]
+    fn kernel_names_the_vector_kernel_exactly_when_the_cpu_has_it() {
+        #[cfg(target_arch = "x86_64")]
+        let has_avx512vl = std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512vl");
+        #[cfg(not(target_arch = "x86_64"))]
+        let has_avx512vl = false;
+        assert_eq!(kernel(), if has_avx512vl { "avx512vl" } else { "scalar" });
     }
 }

@@ -1,15 +1,17 @@
-//! Differential wall between the victim-scan backends: the lane-parallel
-//! reduction ([`rlr::scan::scan_lanes`]) against the one-accumulator
-//! scalar reference ([`rlr::scan::scan_scalar`]), which stays compiled in
-//! every build exactly so this suite can cross-check whichever backend
-//! [`rlr::scan::scan`] resolves to.
+//! Differential wall between the victim-scan kernels: the dispatched
+//! [`rlr::scan::scan`] and [`rlr::scan::scan_masked`] (the AVX-512VL
+//! kernel where the CPU has it) against the one-accumulator scalar oracle
+//! [`rlr::scan::scan_scalar`] / [`rlr::scan::scan_masked_scalar`].
+//! [`rlr::scan::kernel`] names the kernel the dispatched calls run here.
 //!
 //! The property sweeps randomized way counts (1..=32, deliberately
 //! including non-multiples of the lane width), stamp distributions from
 //! all-distinct to heavily tied (including staleness values past the
 //! 38-bit saturation clamp), random metadata bytes, out-of-range core ids,
-//! and every configuration axis of the scan. Failures shrink to a minimal
-//! way vector and report a `PROP_SEED` for exact replay.
+//! every P_core table shape (none, packed into one u64, more than 8 cores,
+//! ranks above 255), random way masks plus the all-ones mask, and every
+//! configuration axis of the scan. Failures shrink to a minimal way vector
+//! and report a `PROP_SEED` for exact replay.
 
 use rlr::packed::LineMeta;
 use rlr::scan::{self, ScanParams, ScanWays, LANES, REC_MASK};
@@ -33,6 +35,9 @@ struct Knobs {
     use_hit: bool,
     exact_recency: bool,
     core_rank: Vec<u32>,
+    /// Way masks for the masked scans, clipped to the way count in the
+    /// property; always includes the all-ones mask.
+    masks: Vec<u32>,
 }
 
 type Case = (Vec<WayInput>, Knobs);
@@ -54,7 +59,7 @@ fn gen_case(rng: &mut SimRng) -> Case {
         .map(|_| {
             let age_stamp = now - rng.gen_range(0..spread.min(now + 1));
             let rec_stamp = clock - rng.gen_range(0..spread.min(clock + 1));
-            (age_stamp, rec_stamp, rng.gen_range(0..=255u64) as u8, rng.gen_range(0..8u64) as u8)
+            (age_stamp, rec_stamp, rng.gen_range(0..=255u64) as u8, rng.gen_range(0..16u64) as u8)
         })
         .collect();
     let knobs = Knobs {
@@ -66,13 +71,27 @@ fn gen_case(rng: &mut SimRng) -> Case {
         use_type: rng.gen_range(0..2u64) == 1,
         use_hit: rng.gen_range(0..2u64) == 1,
         exact_recency: rng.gen_range(0..2u64) == 1,
-        // Empty disables P_core; 4 entries exercises it, with way cores
-        // drawn from 0..8 so out-of-range ids hit the unwrap_or(0) path.
-        core_rank: if rng.gen_range(0..2u64) == 1 {
-            (0..4).map(|_| rng.gen_range(0..4u64) as u32).collect()
-        } else {
-            Vec::new()
+        // Every P_core table shape. Way cores are drawn from 0..16, so
+        // out-of-range ids hit the unwrap_or(0) path in each shape.
+        core_rank: match rng.gen_range(0..4u64) {
+            // Empty disables P_core.
+            0 => Vec::new(),
+            // ≤ 8 cores and ranks ≤ 255: packs into one u64.
+            1 => (0..4).map(|_| rng.gen_range(0..4u64) as u32).collect(),
+            // More than 8 cores: does not pack.
+            2 => (0..12).map(|_| rng.gen_range(0..4u64) as u32).collect(),
+            // A rank above 255: does not pack. 700 + the largest age
+            // weight and type/hit terms stays inside the 10-bit field.
+            _ => {
+                let mut ranks: Vec<u32> =
+                    (0..4).map(|_| rng.gen_range(0..=700u64) as u32).collect();
+                ranks[0] = rng.gen_range(256..=700u64) as u32;
+                ranks
+            }
         },
+        masks: std::iter::once(u32::MAX)
+            .chain((0..3).map(|_| rng.gen_range(1..=u32::MAX as u64) as u32))
+            .collect(),
     };
     (inputs, knobs)
 }
@@ -100,30 +119,52 @@ fn run_case((inputs, knobs): &Case) -> Result<(), String> {
         core_rank: &knobs.core_rank,
     };
     let scalar = scan::scan_scalar(&params, &ways);
-    let lanes = scan::scan_lanes(&params, &ways);
-    let selected = scan::scan(&params, &ways);
+    let dispatched = scan::scan(&params, &ways);
     prop_assert_eq!(
+        dispatched,
         scalar,
-        lanes,
-        "backends diverged on {} ways: scalar {:?} vs lanes {:?}",
-        inputs.len(),
-        scalar,
-        lanes
+        "{} kernel diverged from the scalar oracle on {} ways",
+        scan::kernel(),
+        inputs.len()
     );
-    prop_assert_eq!(selected, scalar, "build-selected backend disagrees with the reference");
     prop_assert!(
         usize::from(scalar.victim()) < inputs.len(),
         "victim {} out of range for {} ways",
         scalar.victim(),
         inputs.len()
     );
+
+    let n = inputs.len();
+    let set_bits = if n == 32 { u32::MAX } else { (1u32 << n) - 1 };
+    for &mask in &knobs.masks {
+        let mask = mask & set_bits;
+        if mask == 0 {
+            continue;
+        }
+        let scalar_masked = scan::scan_masked_scalar(&params, &ways, mask);
+        prop_assert_eq!(
+            scan::scan_masked(&params, &ways, mask),
+            scalar_masked,
+            "{} masked kernel diverged from the scalar oracle under mask {:#x}",
+            scan::kernel(),
+            mask
+        );
+        prop_assert!(
+            mask >> scalar_masked.victim() & 1 == 1,
+            "victim way {} escapes mask {mask:#x}",
+            scalar_masked.victim()
+        );
+        if mask == set_bits {
+            prop_assert_eq!(scalar_masked, scalar, "the all-ones mask must be the plain scan");
+        }
+    }
     Ok(())
 }
 
 #[test]
-fn lane_scan_matches_scalar_scan_on_random_sets() {
+fn dispatched_scans_match_the_scalar_oracle_on_random_sets() {
     check(
-        "lane_scan_matches_scalar_scan_on_random_sets",
+        "dispatched_scans_match_the_scalar_oracle_on_random_sets",
         Config::with_cases(512),
         gen_case,
         run_case,
@@ -131,7 +172,7 @@ fn lane_scan_matches_scalar_scan_on_random_sets() {
 }
 
 /// Saturated staleness on every way: keys tie on the clamped REC_MASK
-/// field and only the way index separates them — both backends must fall
+/// field and only the way index separates them — both kernels must fall
 /// back to the lowest way, whatever the way count's remainder mod LANES.
 #[test]
 fn saturated_staleness_ties_break_identically() {
@@ -157,8 +198,9 @@ fn saturated_staleness_ties_break_identically() {
             core_rank: &[],
         };
         let scalar = scan::scan_scalar(&params, &scan_ways);
-        let lanes = scan::scan_lanes(&params, &scan_ways);
-        assert_eq!(scalar, lanes, "{ways} ways");
+        assert_eq!(scan::scan(&params, &scan_ways), scalar, "{ways} ways");
+        let masked = scan::scan_masked(&params, &scan_ways, u32::MAX);
+        assert_eq!(masked, scalar, "{ways} ways, masked");
         assert_eq!(scalar.victim(), 0, "{ways} ways: full tie must keep the lowest way");
         assert!(scalar.any_past_rd, "{ways} ways: everything aged past rd=4");
     }
@@ -176,7 +218,7 @@ fn tiny_sets_cover_every_lane_remainder() {
             if inputs.is_empty() {
                 continue;
             }
-            run_case(&(inputs, knobs)).expect("backends must agree");
+            run_case(&(inputs, knobs)).expect("kernels must agree");
         }
     }
 }

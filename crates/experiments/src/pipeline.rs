@@ -105,11 +105,24 @@ impl TrainedPipeline {
         let path = net_path(name, scale);
         if !retrain {
             if let Ok(f) = fs::File::open(&path) {
-                if let Ok(net) = Mlp::load(std::io::BufReader::new(f)) {
-                    if net.hidden() == config.hidden && net.outputs() == cache.ways as usize {
+                let ways = cache.ways as usize;
+                match Mlp::load(std::io::BufReader::new(f)) {
+                    Ok(net) if net.hidden() == config.hidden && net.outputs() == ways => {
                         eprintln!("[pipeline] {name}: loaded cached agent");
                         return Agent::from_net(config, cache, net);
                     }
+                    Ok(net) => eprintln!(
+                        "[pipeline] {name}: cached agent {} has hidden width {} and {} \
+                         outputs, want {} and {ways}; retraining",
+                        path.display(),
+                        net.hidden(),
+                        net.outputs(),
+                        config.hidden,
+                    ),
+                    Err(e) => eprintln!(
+                        "[pipeline] {name}: unusable cached agent {} ({e}); retraining",
+                        path.display()
+                    ),
                 }
             }
         }

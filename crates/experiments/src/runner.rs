@@ -302,39 +302,14 @@ pub fn replay_llc_reader<P: ReplacementPolicy, R: std::io::Read>(
     Ok(state.summary)
 }
 
-/// How [`replay_hierarchy`] drives the private levels.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum HierarchyReplayMode {
-    /// One [`CoreHierarchy::data_access`] call per request.
-    PerAccess,
-    /// [`CoreHierarchy::data_access_batch`] over [`REPLAY_CHUNK`]-sized
-    /// chunks — the fast path, bit-identical to `PerAccess` (the batch
-    /// equivalence suite locks the two together on the golden fixture).
-    Batched,
-}
-
 /// Replays a demand data stream through one core's private hierarchy and a
 /// shared LLC, returning the [`ServiceLevel`] of every request in order.
 pub fn replay_hierarchy<P: ReplacementPolicy>(
     core: &mut CoreHierarchy,
     llc: &mut SharedLlc<P>,
     requests: &[DataRequest],
-    mode: HierarchyReplayMode,
 ) -> Vec<ServiceLevel> {
-    let mut levels = Vec::with_capacity(requests.len());
-    match mode {
-        HierarchyReplayMode::PerAccess => {
-            for r in requests {
-                levels.push(core.data_access(r.pc, r.addr, r.is_store, llc));
-            }
-        }
-        HierarchyReplayMode::Batched => {
-            for chunk in requests.chunks(REPLAY_CHUNK) {
-                core.data_access_batch(chunk, llc, &mut levels);
-            }
-        }
-    }
-    levels
+    requests.iter().map(|r| core.data_access(r.pc, r.addr, r.is_store, llc)).collect()
 }
 
 /// Timing result of one [`replay_hierarchy_timed`] run.

@@ -11,7 +11,7 @@
 //!   whole set.
 //! * [`IsolationMode::WayPartition`] — each tenant owns a way mask;
 //!   fills are confined to it via [`ReplacementPolicy::fill_mask`] and the
-//!   victim scan runs the masked lane kernel ([`rlr::scan::scan_masked`])
+//!   victim scan runs the masked kernel ([`rlr::scan::scan_masked`])
 //!   over the tenant's slice only, so no tenant can evict outside its
 //!   partition.
 //! * [`IsolationMode::LearnedPriority`] — the per-tenant priority table
